@@ -51,11 +51,11 @@ _HEADER = {
         "probing": "per-cycle probing loop, probes off (the engine's "
                    "pre-event baseline for time-sensitive models)",
         "per-point": "scalar dispatch of a whole sweep axis, one "
-                     "simulate() per operating point (the batch "
-                     "engine's baseline; rows carry a 'lanes' field "
-                     "with the axis width)",
-        "batch": "batched sweep engine, every lane of the axis in one "
-                 "SoA stepping loop (repro.machines.batch; rows carry "
+                     "simulate() per operating point (history rows: the "
+                     "retired batch engine's baseline; rows carry a "
+                     "'lanes' field with the axis width)",
+        "batch": "retired batched sweep engine, every lane of the axis "
+                 "in one NumPy stepping loop (history rows; rows carry "
                  "'lanes' and 'speedup_vs_per_point')",
     },
     "machines": {

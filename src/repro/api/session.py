@@ -28,8 +28,9 @@ import multiprocessing
 import os
 import pickle
 import time
+import uuid
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import as_completed
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -46,7 +47,7 @@ from ..machines.registry import get_machine
 from ..obs.telemetry import RunTelemetry, add_counters, zero_counters
 from ..obs.trace import SpanTracer
 from ..partition import MachineProgram
-from .spec import Point, Sweep, point_batch_key, point_digest
+from .spec import Point, Sweep, point_digest
 
 __all__ = ["Session", "SweepResult"]
 
@@ -102,15 +103,11 @@ class Session:
             the capability-driven choice; ``None`` (default) leaves
             the process environment in charge. Every strategy is
             bit-exact, so cache keys do not cover this knob.
-        batch: batched-sweep planner toggle for :meth:`run`. ``True``
-            groups sweep points that share a compiled program and
-            simulates each group through the batched engine
-            (:mod:`repro.machines.batch`); ``False`` keeps every point
-            on the per-point path; ``None`` (default) defers to the
-            ``REPRO_BATCH_ENGINE`` environment toggle (default: on).
-            Batched runs are bit-exact with per-point runs and write
-            the same per-point disk-cache entries, so this knob — like
-            ``engine`` — never enters cache keys.
+        batch: deprecated and ignored. Sweeps once grouped points
+            into a batched engine; every point now runs through
+            per-point simulation, which is faster at the lane counts
+            real sweeps produce. Any value other than ``None`` emits a
+            :class:`DeprecationWarning`.
         trace: structured span tracing (:mod:`repro.obs.trace`). A
             path enables JSONL tracing to that file; ``None`` (the
             default) defers to the ``REPRO_TRACE`` environment
@@ -136,6 +133,13 @@ class Session:
                 "engine must be one of None, 'auto', 'events', 'soa'; "
                 f"got {self.engine!r}"
             )
+        if self.batch is not None:
+            warnings.warn(
+                "Session(batch=...) is deprecated and ignored: every "
+                "sweep point runs through per-point simulation",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         self._programs: dict[tuple[str, float], Program] = {}
         self._custom: dict[str, Program] = {}
         self._compiled: dict[tuple[str, float, str, str], object] = {}
@@ -144,14 +148,15 @@ class Session:
         self._result_store = None
         self._store_keys: dict[Point, str] = {}
         self._disk_prefetched: dict[Point, SimulationResult | None] = {}
+        # Points whose first lookup of the current sweep already ran
+        # (and was counted) in the parallel prefetch.
+        self._settled: set[Point] = set()
         self.stats = {
             "evaluated": 0,
             "memory_hits": 0,
             "disk_hits": 0,
             "disk_misses": 0,
             "store_hits": 0,
-            "batch_groups": 0,
-            "batch_points": 0,
             "disk_read_seconds": 0.0,
             "compile_seconds": 0.0,
             "simulate_seconds": 0.0,
@@ -337,17 +342,7 @@ class Session:
             return
         low = compiled.lowered()
         low.steady()  # materialise so loaders skip the period search
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as handle:
-                pickle.dump(
-                    (compiled, low), handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        except OSError:
-            pass  # cache is best-effort; simulation proceeds regardless
+        _write_pickle(path, (compiled, low))
 
     # -- windows -----------------------------------------------------------------
 
@@ -365,7 +360,13 @@ class Session:
     def evaluate(self, point: Point) -> SimulationResult:
         """Cycle-exact result of one point (memory cache, disk, simulate)."""
         canonical = self._canonical(point)
-        cached = self._lookup(canonical)
+        if canonical in self._settled:
+            # Looked up (and counted) by the parallel prefetch; reading
+            # it back must not count a second, memory-tier hit.
+            self._settled.discard(canonical)
+            cached = self._results[canonical]
+        else:
+            cached = self._lookup(canonical)
         if cached is not None:
             self._record(canonical, cached)
             return cached
@@ -456,9 +457,9 @@ class Session:
         """Fold one fresh result's telemetry into the session rollup.
 
         ``_store`` is the single sink every freshly simulated result
-        passes through — serial evaluations, local batch groups and
-        pool-worker results alike — so aggregating here covers all
-        three execution paths with one code path.
+        passes through — serial evaluations and pool-worker results
+        alike — so aggregating here covers both execution paths with
+        one code path.
         """
         telemetry = result.telemetry
         if telemetry is None:
@@ -537,57 +538,6 @@ class Session:
             result = replace(result, meta={**result.meta, **extras})
         return result
 
-    def evaluate_batch(
-        self, group: list[Point]
-    ) -> list[tuple[Point, SimulationResult]]:
-        """Simulate a batch-key group of canonical points in one call.
-
-        All points must share :func:`~repro.api.spec.point_batch_key`
-        (one program, one machine family, one compiled form) and their
-        machine must expose ``batch_configs``. The compiled program is
-        derived once; each point becomes one lane of a batched
-        simulation (:mod:`repro.machines.batch`). Results — including
-        memory-model stats in ``meta`` — are bit-exact with per-point
-        :meth:`evaluate` calls, positionally aligned with ``group``.
-        Pure compute: the caller folds results into the caches.
-        """
-        from ..machines.batch import BatchLane, simulate_batch
-
-        first = group[0]
-        model = get_machine(first.machine)
-        hook = model.batch_configs  # planner guarantees the hook exists
-        compiled = self.compiled(
-            first.program, first.machine, first.partition, first.expansion
-        )
-        program = self._program_for(first.program, first.expansion)
-        lanes = []
-        for point in group:
-            window = (
-                point.window
-                if point.window is not None
-                else max(len(program), 1)
-            )
-            lanes.append(BatchLane(
-                unit_configs=hook(point, window, self.latencies),
-                memory=point.memory.build(point.memory_differential),
-            ))
-        started = time.perf_counter()
-        with self._engine_env(), self._span(
-            "simulate",
-            program=first.program,
-            machine=first.machine,
-            lanes=len(lanes),
-        ):
-            results = simulate_batch(compiled, lanes, self.latencies)
-        self.stats["simulate_seconds"] += time.perf_counter() - started
-        out = []
-        for point, lane, result in zip(group, lanes, results):
-            extras = lane.memory.stats()
-            if extras:
-                result = replace(result, meta={**result.meta, **extras})
-            out.append((point, result))
-        return out
-
     # -- sweeps ------------------------------------------------------------------
 
     def run(
@@ -612,12 +562,12 @@ class Session:
         before = self.telemetry()
         with self._span("sweep", sweep=name, points=len(points)):
             self._disk_prefetch(points)
-            mode = self._batch_mode()
-            if mode != "off":
-                self._prefetch_batch(points, effective_jobs, mode)
-            elif effective_jobs > 1:
-                self._prefetch_parallel(points, effective_jobs)
-            results = tuple(self.evaluate(point) for point in points)
+            try:
+                if effective_jobs > 1:
+                    self._prefetch_parallel(points, effective_jobs)
+                results = tuple(self.evaluate(point) for point in points)
+            finally:
+                self._settled.clear()
         elapsed = time.perf_counter() - started
         self.stats["sweep_seconds"] += elapsed
         return SweepResult(
@@ -636,7 +586,6 @@ class Session:
             key: after["stats"][key] - before["stats"][key]
             for key in (
                 "evaluated", "memory_hits", "disk_hits", "store_hits",
-                "batch_groups", "batch_points",
             )
         }
         counters = {
@@ -659,97 +608,68 @@ class Session:
             "strategies": strategies,
         }
 
-    def _batch_mode(self) -> str:
-        """Resolve the batched-sweep toggle: session knob, then env."""
-        if self.batch is True:
-            return "auto"
-        if self.batch is False:
-            return "off"
-        from ..machines.engine import _batch_engine_mode
+    def _prefetch_parallel(self, points: tuple[Point, ...], jobs: int) -> None:
+        """Simulate a sweep's uncached points on a process pool.
 
-        return _batch_engine_mode()
-
-    def _pending_points(
-        self, points: tuple[Point, ...]
-    ) -> list[Point]:
-        """Canonical uncached points, deduplicated, in sweep order.
-
-        Consults the caches through :meth:`_lookup`, so hits are
-        counted (and memoised) here exactly as a serial evaluation
-        loop would count them.
+        Each distinct poolable point gets its first lookup of the sweep
+        here, through :meth:`_lookup`, so cache hits and misses are
+        counted exactly once, as the serial evaluation loop would count
+        them; the point is then marked settled so the loop's read-back
+        is not counted again. Points that cannot ship to a worker
+        (custom programs; runtime-registered machines without fork) are
+        left to the evaluation loop.
         """
+        context = _fork_context()
+        has_fork = context is not None
         pending: list[Point] = []
-        seen: set[Point] = set()
         for point in points:
             canonical = self._canonical(point)
-            if canonical in seen:
+            if canonical in self._settled or not self._poolable(
+                canonical, has_fork
+            ):
                 continue
-            seen.add(canonical)
+            self._settled.add(canonical)
             if self._lookup(canonical) is None:
                 pending.append(canonical)
-        return pending
-
-    def _prefetch_batch(
-        self, points: tuple[Point, ...], jobs: int, mode: str
-    ) -> None:
-        """The batch planner: group, batch, and fan out a sweep.
-
-        Pending points are grouped by
-        :func:`~repro.api.spec.point_batch_key`; groups whose lanes
-        would actually vectorize become single batch jobs (the unit of
-        pool parallelism), everything else stays on the per-point
-        path — pooled when ``jobs > 1``, or left to the serial
-        evaluation loop. Disk-cache writes remain per-point (the
-        results fold through :meth:`_store`), so cache keys and
-        contents are identical to a per-point run.
-        """
-        from ..machines.batch import vector_eligible
-
-        pending = self._pending_points(points)
         if not pending:
             return
-        floor = 1 if mode == "force" else 2
-        groups: dict[tuple, list[Point]] = {}
-        scalar: list[Point] = []
-        for canonical in pending:
-            key = point_batch_key(canonical)
-            model = get_machine(canonical.machine)
-            if (
-                key is None
-                or getattr(model, "batch_configs", None) is None
-                or not vector_eligible(
-                    canonical.memory.build(canonical.memory_differential),
-                    canonical.window,
-                )
+        config = {
+            "scale": self.scale,
+            "au_width": self.au_width,
+            "du_width": self.du_width,
+            "swsm_width": self.swsm_width,
+            "latencies": self.latencies,
+            "engine": self.engine,
+            # Workers share the result cache and the digest-keyed
+            # lowering cache: the first worker to need a compiled
+            # program persists it, the rest load it. They never
+            # inherit tracing: a forked child appending to the
+            # parent's trace file would interleave span streams.
+            "cache_dir": self.cache_dir,
+            "trace": False,
+        }
+        workers = min(jobs, len(pending))
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(config,),
+        )
+        try:
+            for canonical, result in pool.map(
+                _worker_evaluate,
+                pending,
+                chunksize=max(1, len(pending) // (workers * 4)),
             ):
-                scalar.append(canonical)
-            else:
-                groups.setdefault(key, []).append(canonical)
-        batched: list[list[Point]] = []
-        for group in groups.values():
-            if len(group) >= floor:
-                batched.append(group)
-            else:
-                scalar.extend(group)
-        for group in batched:
-            self.stats["batch_groups"] += 1
-            self.stats["batch_points"] += len(group)
-        if jobs > 1:
-            self._fan_out(batched, scalar, jobs)
+                self._fold_worker_result(canonical, result)
+        except BaseException:
+            # Ctrl-C (or any abort) must not hang waiting for queued
+            # work: cancel what hasn't started and return immediately —
+            # points already folded in stay cached, so a rerun resumes.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
         else:
-            for group in batched:
-                for canonical, result in self.evaluate_batch(group):
-                    self._store(canonical, result)
-                    self.stats["evaluated"] += 1
-            for canonical in scalar:
-                # Already known uncached: simulate directly, so the
-                # miss counted during the pending scan stays the only
-                # one (the evaluate loop then hits memory).
-                self._store(canonical, self._simulate(canonical))
-                self.stats["evaluated"] += 1
-
-    def _prefetch_parallel(self, points: tuple[Point, ...], jobs: int) -> None:
-        self._fan_out([], self._pending_points(points), jobs)
+            pool.shutdown()
 
     def _poolable(self, canonical: Point, has_fork: bool) -> bool:
         if canonical.program in self._custom:
@@ -759,93 +679,6 @@ class Session:
             # runtime; evaluate those points locally instead.
             return False
         return True
-
-    def _fan_out(
-        self,
-        batched: list[list[Point]],
-        scalar: list[Point],
-        jobs: int,
-    ) -> None:
-        """Spread batch groups and scalar points over a process pool.
-
-        Batch groups are the unit of pool parallelism: one group, one
-        worker, one batched simulation. Scalar points stream through
-        ``pool.map`` as before. Groups or points that cannot ship to a
-        worker (custom programs; runtime-registered machines without
-        fork) are evaluated locally after the pool drains.
-        """
-        context = _fork_context()
-        has_fork = context is not None
-        local_groups = [
-            group for group in batched
-            if not self._poolable(group[0], has_fork)
-        ]
-        pool_groups = [
-            group for group in batched
-            if self._poolable(group[0], has_fork)
-        ]
-        pool_scalar = [
-            canonical for canonical in scalar
-            if self._poolable(canonical, has_fork)
-        ]
-        local_scalar = [
-            canonical for canonical in scalar
-            if not self._poolable(canonical, has_fork)
-        ]
-        tasks = len(pool_groups) + len(pool_scalar)
-        if tasks:
-            config = {
-                "scale": self.scale,
-                "au_width": self.au_width,
-                "du_width": self.du_width,
-                "swsm_width": self.swsm_width,
-                "latencies": self.latencies,
-                "engine": self.engine,
-                # Workers share the result cache and the digest-keyed
-                # lowering cache: the first worker to need a compiled
-                # program persists it, the rest load it. They never
-                # inherit tracing: a forked child appending to the
-                # parent's trace file would interleave span streams.
-                "cache_dir": self.cache_dir,
-                "trace": False,
-            }
-            workers = min(jobs, tasks)
-            chunksize = max(1, len(pool_scalar) // (workers * 4))
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(config,),
-            )
-            try:
-                futures = [
-                    pool.submit(_worker_evaluate_batch, tuple(group))
-                    for group in pool_groups
-                ]
-                if pool_scalar:
-                    for canonical, result in pool.map(
-                        _worker_evaluate, pool_scalar, chunksize=chunksize
-                    ):
-                        self._fold_worker_result(canonical, result)
-                for future in as_completed(futures):
-                    for canonical, result in future.result():
-                        self._fold_worker_result(canonical, result)
-            except BaseException:
-                # Ctrl-C (or any abort) must not hang waiting for queued
-                # work: cancel what hasn't started and return
-                # immediately — points already folded in stay cached,
-                # so a rerun resumes.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            else:
-                pool.shutdown()
-        for group in local_groups:
-            for canonical, result in self.evaluate_batch(group):
-                self._store(canonical, result)
-                self.stats["evaluated"] += 1
-        for canonical in local_scalar:
-            self._store(canonical, self._simulate(canonical))
-            self.stats["evaluated"] += 1
 
     def _fold_worker_result(
         self, canonical: Point, result: SimulationResult
@@ -945,14 +778,10 @@ class Session:
         if result.telemetry is not None:
             # Cache entries stay telemetry-free: the payload bytes must
             # depend only on the simulated schedule, never on which
-            # engine strategy or wall clock produced it (a batched and
-            # a per-point session write identical entries).
+            # engine strategy or wall clock produced it (a serial and
+            # a pooled session write identical entries).
             result = replace(result, telemetry=None)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        _write_pickle(path, result)
 
     # -- convenience accessors (the old Lab vocabulary) --------------------------
 
@@ -1029,6 +858,26 @@ class Session:
         return perfect / actual
 
 
+def _write_pickle(path: Path, payload: object) -> None:
+    """Atomically publish ``payload`` at ``path``; best-effort.
+
+    Each writer pickles into a temp file with a name of its own in the
+    target directory and renames it into place, so concurrent writers —
+    pool workers, or the threads of one ``repro serve`` process — never
+    share a temp file, and readers only ever see whole entries. A
+    failed write leaves the cache without the entry and never fails the
+    caller: the caches are accelerators, not the source of truth.
+    """
+    tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("xb") as handle:
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
 def _stamp_tier(result: SimulationResult, tier: str) -> SimulationResult:
     """Mark which cache tier served this copy of a result.
 
@@ -1077,10 +926,3 @@ def _worker_evaluate(point: Point) -> tuple[Point, SimulationResult]:
     assert _WORKER_SESSION is not None
     return point, _WORKER_SESSION.evaluate(point)
 
-
-def _worker_evaluate_batch(
-    group: tuple[Point, ...]
-) -> list[tuple[Point, SimulationResult]]:
-    """One batch group, one worker, one batched simulation."""
-    assert _WORKER_SESSION is not None
-    return _WORKER_SESSION.evaluate_batch(list(group))

@@ -235,25 +235,6 @@ def point_digest(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def point_batch_key(point: Point) -> tuple | None:
-    """Grouping key for the batched sweep engine, or None.
-
-    Points with the same key share one compiled machine program, so a
-    whole sweep axis (windows, differentials, widths, memory variants)
-    can stack into one batched simulation — see
-    :mod:`repro.machines.batch` and the ``Session.run`` batch planner.
-    Probe points are excluded (the probing engine has no batched
-    form), as is any machine without a ``batch_configs`` hook (the
-    planner checks the hook separately; serial is analytic and needs
-    no batching). Widths deliberately stay *out* of the key: the
-    vector loop supports per-lane widths, and compilation is
-    width-independent.
-    """
-    if point.probe_esw:
-        return None
-    return (point.program, point.machine, point.partition, point.expansion)
-
-
 def point_to_dict(point: Point) -> dict:
     """Plain-dict form of a point (JSON/TOML compatible, window None ->
     ``"unl"``) — the same field spelling :meth:`Sweep.to_dict` uses for

@@ -107,15 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="content-addressed on-disk result cache (reused across runs)",
     )
     parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="batched sweep engine: group sweep points sharing a "
-        "compiled program and simulate each group in one vectorized "
-        "run (bit-exact; default: on, or the REPRO_BATCH_ENGINE "
-        "env toggle; --no-batch forces per-point dispatch)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -407,7 +398,6 @@ def _make_session(args: argparse.Namespace):
         scale=preset.scale,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        batch=args.batch,
         trace=args.trace,
     )
     return session, preset
@@ -652,7 +642,6 @@ def _timings_line(telemetry: dict) -> str:
         f"{telemetry['disk_hits']} disk / "
         f"{telemetry['store_hits']} store hits), "
         f"strategies {strategies}, "
-        f"{counters.get('batch_lanes', 0)} batch lanes, "
         f"{counters.get('steady_skips', 0)} steady skips, "
         f"{telemetry['wall_seconds']:.3f}s wall"
     )

@@ -112,27 +112,6 @@ def _event_engine_mode() -> str:
     return "auto"
 
 
-#: ``REPRO_BATCH_ENGINE`` spellings that force / forbid batched sweeps.
-_BATCH_FORCE = frozenset({"1", "on", "force", "batch"})
-_BATCH_OFF = frozenset({"0", "off", "scalar"})
-
-
-def _batch_engine_mode() -> str:
-    """Resolve the ``REPRO_BATCH_ENGINE`` toggle to force/off/auto.
-
-    Mirrors ``REPRO_EVENT_ENGINE``: ``auto`` (default) lets the session
-    batch sweep groups of two or more points, ``force`` batches even
-    singleton groups (useful for tests), ``off`` keeps every point on
-    the scalar per-point path.
-    """
-    value = os.environ.get("REPRO_BATCH_ENGINE", "auto").strip().lower()
-    if value in _BATCH_FORCE:
-        return "force"
-    if value in _BATCH_OFF:
-        return "off"
-    return "auto"
-
-
 #: Cumulative steady-state accelerator activity, for tests and
 #: benchmarks that want to assert the skip path was (not) taken. A
 #: backward-compatible *aggregated view*: the engines accumulate into
@@ -143,16 +122,11 @@ PERF_COUNTERS = {
     "steady_skips": 0,
     "skipped_instructions": 0,
     "event_runs": 0,
-    "batch_runs": 0,
-    "batch_lanes": 0,
-    "batch_fallback_lanes": 0,
-    "batch_steps": 0,
 }
 
 #: Strategy chosen by the most recent :func:`simulate` call — one of
 #: ``uniform-table``, ``stateless-table``, ``speculative``,
-#: ``chunked``, ``events-table``, ``events-chunked`` or ``probing``
-#: (``batch`` after a :func:`_simulate_batch` vectorized run).
+#: ``chunked``, ``events-table``, ``events-chunked`` or ``probing``.
 #: Diagnostic only (tests, benchmarks); not part of the public API.
 LAST_STRATEGY = "none"
 
@@ -387,29 +361,6 @@ def _route(
         collect_issue_times,
         max_cycles,
     ))
-
-
-def _simulate_batch(
-    program: MachineProgram,
-    lanes,
-    latencies: LatencyModel = DEFAULT_LATENCIES,
-    collect_issue_times: bool = False,
-) -> list[SimulationResult]:
-    """Batched-sweep strategy: N lanes of one program, one stepping loop.
-
-    ``lanes`` is a list of :class:`repro.machines.batch.BatchLane`
-    (unit configs + memory model per lane). Vectorizable lanes run
-    stacked in the 2-D NumPy loop of :mod:`repro.machines.batch`;
-    the rest fall back to per-lane :func:`simulate` (stateful models
-    land in the speculative / chunked paths as usual). Results are
-    bit-exact with per-point runs, lane by lane. Imported lazily —
-    the batch module depends back on this one for the scalar fallback.
-    """
-    from .batch import simulate_batch
-
-    return simulate_batch(
-        program, lanes, latencies, collect_issue_times=collect_issue_times
-    )
 
 
 def _stateless_table(

@@ -144,13 +144,11 @@ class LoweredProgram:
         "pair_missing",
         "_addlat_cache",
         "_steady",
-        "_np_cache",
     )
 
     def __init__(self) -> None:
         self._addlat_cache: dict[int, list[int]] = {}
         self._steady = _UNSET
-        self._np_cache = None  # NumPy views for the batch engine
 
     def __getstate__(self):
         """Pickle the flat arrays; drop caches, keep a computed steady.
@@ -164,7 +162,7 @@ class LoweredProgram:
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("_addlat_cache", "_np_cache")
+            if slot != "_addlat_cache"
         }
         if state["_steady"] is _UNSET:
             del state["_steady"]

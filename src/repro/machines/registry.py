@@ -37,11 +37,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
-from ..config import DMConfig, LatencyModel, SWSMConfig, UnitConfig
+from ..config import DMConfig, LatencyModel, SWSMConfig
 from ..errors import ConfigError
 from ..ir import Program
 from ..partition import MachineProgram
-from ..partition.machine_program import Unit
 from ..obs.telemetry import RunTelemetry
 from ..partition.strategies import partition_with_strategy
 from .dm import DecoupledMachine
@@ -126,25 +125,6 @@ class DecoupledModel:
         )
         return machine.run(compiled, memory=memory, probe_esw=point.probe_esw)
 
-    def batch_configs(
-        self, point: "Point", window: int, latencies: LatencyModel
-    ) -> dict:
-        """Per-unit configs for one batch lane (the batched-sweep hook).
-
-        A machine model exposing this hook opts into the batched sweep
-        engine: the session groups points by
-        :func:`repro.api.spec.point_batch_key` and stacks their lanes
-        into one vectorized run (:mod:`repro.machines.batch`), which
-        must produce exactly the schedule :meth:`simulate` would.
-        """
-        config = DMConfig.symmetric(
-            window,
-            au_width=point.au_width,
-            du_width=point.du_width,
-            latencies=latencies,
-        )
-        return {Unit.AU: config.au, Unit.DU: config.du}
-
 
 class SuperscalarModel:
     """The single-window superscalar machine (paper section 4)."""
@@ -181,16 +161,6 @@ class SuperscalarModel:
             )
         )
         return machine.run(compiled, memory=memory)
-
-    def batch_configs(
-        self, point: "Point", window: int, latencies: LatencyModel
-    ) -> dict:
-        """Per-unit configs for one batch lane (see DecoupledModel)."""
-        return {
-            Unit.SINGLE: UnitConfig(
-                window=window, width=point.swsm_width, name="SWSM"
-            )
-        }
 
 
 class SerialModel:

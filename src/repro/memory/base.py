@@ -95,19 +95,6 @@ class MemorySystem(abc.ABC):
         extra = self.extra_latency
         return [extra(addr, now) for addr in addrs]
 
-    def latencies_array(self, addrs: Sequence[int], now: int):
-        """Vectorized-query entry for the batch engine.
-
-        Identical contract to :meth:`latencies`; the return value only
-        needs to be array-convertible (list or ndarray). The default
-        delegates to :meth:`latencies`, so model-side counters advance
-        exactly as they would for a scalar run — which is what keeps
-        batched lanes bit-exact, stats included. Stateless models with
-        a native NumPy rule may override this to answer a whole lane's
-        access table without the per-address Python loop.
-        """
-        return self.latencies(addrs, now)
-
     @abc.abstractmethod
     def reset(self) -> None:
         """Forget all state so the model can be reused across runs."""

@@ -21,10 +21,6 @@ COUNTER_KEYS = (
     "steady_skips",
     "skipped_instructions",
     "event_runs",
-    "batch_runs",
-    "batch_lanes",
-    "batch_fallback_lanes",
-    "batch_steps",
 )
 
 

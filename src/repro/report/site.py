@@ -533,7 +533,6 @@ _TELEMETRY_COUNTERS = (
     ("steady_skips", "steady skips"),
     ("skipped_instructions", "skipped instrs"),
     ("event_runs", "event runs"),
-    ("batch_lanes", "batch lanes"),
 )
 
 
@@ -637,9 +636,9 @@ def _bench_page(payload: dict) -> tuple[str, str]:
         f"{payload.get('window', '?')}, memory differential "
         f"{payload.get('memory_differential', '?')}; last refreshed "
         f"{payload.get('updated', 'unknown')} by the engine benchmarks "
-        f"(`benchmarks/bench_engine_soa.py`, `bench_engine_batch.py`; "
-        f"batch rows sweep one differential per lane and report whole "
-        f"sweep-axis wall clock)."
+        f"(`benchmarks/bench_engine_soa.py`; `batch` rows are history "
+        f"from the retired batched sweep engine, one differential per "
+        f"lane, timed as whole sweep-axis wall clock)."
     )
     md = "\n".join([
         "# Engine benchmark trajectory", "",

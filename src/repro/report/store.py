@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import pickle
 import sqlite3
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -157,7 +158,7 @@ class ResultStore:
         """
         try:
             if self.path is not None:
-                self._con.execute("PRAGMA journal_mode=WAL")
+                self._enable_wal()
             self._con.execute(
                 f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT_S * 1000)}"
             )
@@ -166,36 +167,73 @@ class ResultStore:
                 f"cannot configure result store concurrency: {error}"
             )
 
+    def _enable_wal(self) -> None:
+        """Switch to WAL, retrying when another opener races the switch.
+
+        The switch needs an exclusive lock, and when two connections
+        upgrade at once SQLite fails one with ``database is locked``
+        straight away instead of waiting (deadlock avoidance), so the
+        busy timeout alone does not cover it.
+        """
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._con.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
+
     def _init_schema(self, label: str) -> None:
+        """Check the schema version; create and stamp a brand-new store.
+
+        The check, the ``CREATE`` and the version stamp of a new store
+        run in one ``BEGIN IMMEDIATE`` transaction that re-reads
+        ``user_version`` under the write lock, so a second opener never
+        sees a created-but-unstamped table and refuses it as foreign.
+        """
         try:
-            version = self._con.execute("PRAGMA user_version").fetchone()[0]
-            if version == 0:
-                existing = self._con.execute(
-                    "SELECT name FROM sqlite_master "
-                    "WHERE type IN ('table', 'view')"
-                ).fetchone()
-                if existing is not None:
-                    # Any pre-existing content without our schema
-                    # version is either a foreign application's
-                    # database or a pre-versioning store; adopting and
-                    # mutating it would corrupt it either way.
-                    raise StoreError(
-                        f"{label} is not an empty or versioned result "
-                        f"store (it already contains table "
-                        f"{existing[0]!r} with no schema version); "
-                        f"refusing to adopt a foreign database"
-                    )
-                self._con.execute(_CREATE)
-                self._con.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-                self._con.commit()
-            elif version != SCHEMA_VERSION:
-                raise StoreError(
-                    f"result store {label} has schema v{version}; this "
-                    f"build reads v{SCHEMA_VERSION} — regenerate the store "
-                    f"or use a matching repro version"
-                )
+            if self._version(label) == SCHEMA_VERSION:
+                return
+            self._con.execute("BEGIN IMMEDIATE")
+            try:
+                if self._version(label) == 0:
+                    self._create(label)
+            except BaseException:
+                self._con.rollback()
+                raise
+            self._con.commit()
         except sqlite3.Error as error:
             raise StoreError(f"cannot read result store {label}: {error}")
+
+    def _version(self, label: str) -> int:
+        """The store's schema version: ours, or 0 for a new store."""
+        version = self._con.execute("PRAGMA user_version").fetchone()[0]
+        if version not in (0, SCHEMA_VERSION):
+            raise StoreError(
+                f"result store {label} has schema v{version}; this build "
+                f"reads v{SCHEMA_VERSION} — regenerate the store or use a "
+                f"matching repro version"
+            )
+        return version
+
+    def _create(self, label: str) -> None:
+        existing = self._con.execute(
+            "SELECT name FROM sqlite_master WHERE type IN ('table', 'view')"
+        ).fetchone()
+        if existing is not None:
+            # Any pre-existing content without our schema version is
+            # either a foreign application's database or a
+            # pre-versioning store; adopting and mutating it would
+            # corrupt it either way.
+            raise StoreError(
+                f"{label} is not an empty or versioned result store (it "
+                f"already contains table {existing[0]!r} with no schema "
+                f"version); refusing to adopt a foreign database"
+            )
+        self._con.execute(_CREATE)
+        self._con.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     # -- writing -----------------------------------------------------------------
 

@@ -181,9 +181,7 @@ def _telemetry_delta(before: dict, after: dict) -> dict:
         key: after["stats"][key] - before["stats"][key]
         for key in (
             "evaluated", "memory_hits", "disk_hits", "store_hits",
-            "batch_groups", "batch_points",
         )
-        if key in after["stats"]
     }
     return {
         "runs": after["runs"] - before["runs"],

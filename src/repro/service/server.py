@@ -129,6 +129,11 @@ def _make_handler(config: ServiceConfig, scheduler: JobScheduler):
         server_version = "repro-serve"
         protocol_version = "HTTP/1.1"
         timeout = config.request_timeout  # per-connection socket timeout
+        # Responses go out as a header write then a body write; with
+        # Nagle on, the body waits for the ACK of the headers, which a
+        # keep-alive client delays by ~40 ms on every request after
+        # its first. TCP_NODELAY sends both at once.
+        disable_nagle_algorithm = True
 
         # -- plumbing -------------------------------------------------------------
 

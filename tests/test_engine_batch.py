@@ -1,21 +1,18 @@
-"""Parity suite for the batched sweep engine (:mod:`repro.machines.batch`).
+"""The lane-list shim (:mod:`repro.machines.batch`) and sweep plumbing.
 
-The batched engine stacks N sweep lanes — same lowered program,
-different (window, memory) pairs — into one struct-of-arrays stepping
-loop. Its contract is *bit-exactness*: every lane must produce the
-SimulationResult the scalar engine would, and Session-level batching
-must leave disk-cache keys and payloads untouched. The suite checks:
+Sweeps run every operating point through per-point ``simulate()``;
+the batched engine that once stacked them is retired, and
+``simulate_batch`` survives as a shim that runs each lane through the
+scalar engine. The suite checks:
 
-* lane-for-lane parity against ``simulate`` on every declarative
-  memory kind and both machine models (stateful kinds exercise the
-  per-lane fallback path);
-* the same parity under every engine toggle
-  (``REPRO_PERIOD_SKIP`` × ``REPRO_EVENT_ENGINE``);
-* Session runs with ``batch=True`` vs ``batch=False``: identical
-  results, identical cache file names, byte-identical payloads,
+* lane-for-lane parity of ``simulate_batch`` against ``simulate`` on
+  every declarative memory kind and both machine models, under every
+  engine toggle (``REPRO_PERIOD_SKIP`` × ``REPRO_EVENT_ENGINE``), with
+  memory models queried exactly as a scalar run queries them;
+* the deprecated ``Session(batch=...)`` knob: it warns and changes
+  nothing — identical results, cache file names and payload bytes,
   serial and ``jobs=4``;
-* the ``REPRO_BATCH_ENGINE`` off/force modes, the batch perf
-  counters, the on-disk lowering cache, and the threaded warm path;
+* the on-disk lowering cache and the threaded disk-cache warm path;
 * a Hypothesis property over generated ``gen:<family>:<seed>``
   kernels.
 """
@@ -26,29 +23,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
-
-from repro import (  # noqa: E402
+from repro import (
     DecoupledMachine,
     SuperscalarMachine,
     Unit,
     UnitConfig,
 )
-from repro.api import MemorySpec, Point, Session, Sweep  # noqa: E402
-from repro.experiments.scales import PRESETS  # noqa: E402
-from repro.kernels import build_kernel  # noqa: E402
-from repro.machines import engine, simulate  # noqa: E402
-from repro.machines.batch import (  # noqa: E402
-    BatchLane,
-    simulate_batch,
-    vector_eligible,
-)
-from repro.memory import (  # noqa: E402
+from repro.api import MemorySpec, Session, Sweep
+from repro.experiments.scales import PRESETS
+from repro.kernels import build_kernel
+from repro.machines import simulate
+from repro.machines.batch import BatchLane, simulate_batch
+from repro.memory import (
     CAP_STATELESS,
     FixedLatencyMemory,
     MemorySystem,
 )
-from repro.workloads.grammar import FAMILIES  # noqa: E402
+from repro.workloads.grammar import FAMILIES
 
 TINY = PRESETS["tiny"].scale
 
@@ -62,11 +53,6 @@ MEMORY_SPECS = {
     "banked": MemorySpec(kind="banked", banks=4, bank_busy=3),
     "prefetch": MemorySpec(kind="prefetch", entries=8, streams=2),
 }
-
-#: Kinds whose models answer queries without mutating state; these
-#: must take the vectorized path (checked via the perf counters).
-STATELESS_KINDS = ("fixed",)
-
 
 def dm_configs(window: int) -> dict[Unit, UnitConfig]:
     return {
@@ -94,7 +80,7 @@ def compiled_for(name: str, machine: str, scale: int = TINY):
 
 
 class AddressHashMemory(MemorySystem):
-    """A stateless model the vector loop must query identically."""
+    """A stateless model every lane must query like a scalar run."""
 
     def __init__(self, base: int = 40) -> None:
         self.base = base
@@ -115,22 +101,9 @@ class AddressHashMemory(MemorySystem):
         pass
 
 
-def reset_counters() -> dict[str, int]:
-    before = dict(engine.PERF_COUNTERS)
-    for key in engine.PERF_COUNTERS:
-        engine.PERF_COUNTERS[key] = 0
-    return before
-
-
 def assert_lane_parity(compiled, lanes, reference_memories) -> str:
-    """Each batched lane equals a fresh scalar run of the same lane.
-
-    Returns the ``LAST_STRATEGY`` recorded for the batched call (the
-    scalar reference runs below overwrite the module global).
-    """
+    """Each lane's result equals a fresh scalar run of the same lane."""
     results = simulate_batch(compiled, lanes, collect_issue_times=True)
-    strategy = engine.LAST_STRATEGY
-    counters = dict(engine.PERF_COUNTERS)
     assert len(results) == len(lanes)
     for lane, memory, got in zip(lanes, reference_memories, results):
         want = simulate(
@@ -140,8 +113,6 @@ def assert_lane_parity(compiled, lanes, reference_memories) -> str:
             collect_issue_times=True,
         )
         assert got == want
-    engine.PERF_COUNTERS.update(counters)
-    return strategy
 
 
 class TestLaneParity:
@@ -159,21 +130,11 @@ class TestLaneParity:
             for window, md in grid
         ]
         refs = [spec.build(md) for _, md in grid]
-        reset_counters()
-        strategy = assert_lane_parity(compiled, lanes, refs)
-        if kind in STATELESS_KINDS:
-            assert engine.PERF_COUNTERS["batch_runs"] >= 1
-            # Aperiodic lanes may be evicted to the scalar fallback;
-            # every lane is accounted for either way.
-            vectorized = engine.PERF_COUNTERS["batch_lanes"]
-            fallback = engine.PERF_COUNTERS["batch_fallback_lanes"]
-            assert vectorized + fallback == len(grid)
-            assert vectorized >= 2
-            assert strategy == "batch"
+        assert_lane_parity(compiled, lanes, refs)
 
     @pytest.mark.parametrize("machine", ("dm", "swsm"))
     def test_stateful_kinds_fall_back_per_lane(self, machine):
-        """Stateful memory lanes route through the scalar engine."""
+        """Stateful memory lanes keep the scalar engine's strategies."""
         compiled = compiled_for("trfd", machine)
         make = _MAKE_CONFIGS[machine]
         spec = MEMORY_SPECS["cache"]
@@ -181,17 +142,15 @@ class TestLaneParity:
             BatchLane(unit_configs=make(w), memory=spec.build(60))
             for w in (8, 32)
         ]
-        reset_counters()
         results = simulate_batch(compiled, lanes)
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 2
         for lane, got in zip(lanes, results):
-            assert got.cycles == simulate(
-                compiled, lane.unit_configs, spec.build(60)
-            ).cycles
+            want = simulate(compiled, lane.unit_configs, spec.build(60))
+            assert got.cycles == want.cycles
+            assert got.telemetry.strategy == want.telemetry.strategy
 
     @pytest.mark.parametrize("machine", ("dm", "swsm"))
     def test_custom_stateless_model_queried_identically(self, machine):
-        """CAP_STATELESS models vectorize; query counts stay bit-exact."""
+        """CAP_STATELESS models: query counts match a scalar run."""
         compiled = compiled_for("mdg", machine)
         make = _MAKE_CONFIGS[machine]
         mems = [AddressHashMemory() for _ in range(3)]
@@ -200,9 +159,7 @@ class TestLaneParity:
             for w, m in zip((4, 16, 128), mems)
         ]
         refs = [AddressHashMemory() for _ in range(3)]
-        reset_counters()
         assert_lane_parity(compiled, lanes, refs)
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 0
         for lane_mem, ref_mem in zip(mems, refs):
             assert lane_mem.queries == ref_mem.queries
 
@@ -225,38 +182,6 @@ class TestLaneParity:
         refs = [FixedLatencyMemory(md) for _, md in grid]
         assert_lane_parity(compiled, lanes, refs)
 
-    def test_mixed_lanes_split_vector_and_fallback(self):
-        compiled = compiled_for("trfd", "dm")
-        lanes = [
-            BatchLane(
-                unit_configs=dm_configs(16), memory=FixedLatencyMemory(60)
-            ),
-            BatchLane(
-                unit_configs=dm_configs(16),
-                memory=MEMORY_SPECS["banked"].build(60),
-            ),
-            BatchLane(
-                unit_configs=dm_configs(32), memory=FixedLatencyMemory(70)
-            ),
-        ]
-        refs = [
-            FixedLatencyMemory(60),
-            MEMORY_SPECS["banked"].build(60),
-            FixedLatencyMemory(70),
-        ]
-        reset_counters()
-        assert_lane_parity(compiled, lanes, refs)
-        assert engine.PERF_COUNTERS["batch_lanes"] == 2
-        assert engine.PERF_COUNTERS["batch_fallback_lanes"] == 1
-
-    def test_vector_eligible_predicate(self):
-        assert vector_eligible(FixedLatencyMemory(60), 32)
-        assert vector_eligible(AddressHashMemory(), 64)
-        # Unlimited windows resolve to program length >> the cap.
-        assert not vector_eligible(FixedLatencyMemory(60), None)
-        assert not vector_eligible(FixedLatencyMemory(60), 4096)
-        assert not vector_eligible(MEMORY_SPECS["cache"].build(60), 32)
-
 
 def sweep_for(machines=("dm", "swsm")) -> Sweep:
     return Sweep.grid(
@@ -267,9 +192,14 @@ def sweep_for(machines=("dm", "swsm")) -> Sweep:
     )
 
 
-def run_session(tmp_path, label, *, batch, jobs=1, sweep=None, scale=TINY):
+def run_session(tmp_path, label, *, batch=None, jobs=1, sweep=None,
+                scale=TINY):
     cache = tmp_path / label
-    session = Session(scale=scale, cache_dir=cache, batch=batch)
+    if batch is None:
+        session = Session(scale=scale, cache_dir=cache)
+    else:
+        with pytest.warns(DeprecationWarning, match="batch"):
+            session = Session(scale=scale, cache_dir=cache, batch=batch)
     outcome = session.run(sweep or sweep_for(), jobs=jobs)
     return session, outcome, cache
 
@@ -282,18 +212,19 @@ def cache_snapshot(cache_dir) -> dict[str, bytes]:
 
 
 class TestSessionParity:
-    """Batched sweeps: same results, same cache keys, same bytes."""
+    """The deprecated batch knob: same results, cache keys and bytes."""
 
     def test_serial_batched_matches_per_point(self, tmp_path):
         batched, got, bdir = run_session(tmp_path, "b", batch=True)
         scalar, want, sdir = run_session(tmp_path, "s", batch=False)
         assert got.results == want.results
         assert cache_snapshot(bdir) == cache_snapshot(sdir)
-        assert batched.stats["batch_groups"] > 0
-        assert batched.stats["batch_points"] > 0
-        assert scalar.stats["batch_groups"] == 0
-        assert batched.stats["evaluated"] == scalar.stats["evaluated"]
-        assert batched.stats["disk_misses"] == scalar.stats["disk_misses"]
+        assert batched.stats == {
+            **scalar.stats,
+            **{key: batched.stats[key] for key in batched.stats
+               if key.endswith("_seconds")},
+        }
+        assert got.telemetry["strategies"] == want.telemetry["strategies"]
 
     def test_parallel_batched_matches_per_point(self, tmp_path):
         _, got, bdir = run_session(tmp_path, "b4", batch=True, jobs=4)
@@ -309,61 +240,33 @@ class TestSessionParity:
             memory_differential=(0, 60),
             memory=(MEMORY_SPECS["cache"],),
         )
-        batched, got, _ = run_session(
-            tmp_path, "b", batch=True, sweep=sweep
-        )
-        _, want, _ = run_session(tmp_path, "s", batch=False, sweep=sweep)
+        _, got, _ = run_session(tmp_path, "b", batch=True, sweep=sweep)
+        _, want, _ = run_session(tmp_path, "s", sweep=sweep)
         assert got.results == want.results
-        # Stateful lanes never enter a batch group.
-        assert batched.stats["batch_groups"] == 0
-
-    def test_env_off_disables_batching(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "off")
-        session, _, _ = run_session(tmp_path, "env", batch=None)
-        assert session.stats["batch_groups"] == 0
-
-    def test_env_force_batches_singletons(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "force")
-        sweep = Sweep.grid(
-            program="trfd", machine=("dm",), window=(16,),
-            memory_differential=(60,),
-        )
-        session, outcome, _ = run_session(
-            tmp_path, "force", batch=None, sweep=sweep
-        )
-        assert session.stats["batch_groups"] == 1
-        assert session.stats["batch_points"] == 1
-        want = Session(scale=TINY).run(sweep)
-        assert outcome.cycles() == want.cycles()
-
-    def test_session_knob_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "force")
-        session, _, _ = run_session(tmp_path, "knob", batch=False)
-        assert session.stats["batch_groups"] == 0
 
 
 class TestLoweringCache:
     """The digest-keyed on-disk lowering cache under ``lowered/``."""
 
     def test_populated_and_reused(self, tmp_path):
-        first, got, cache = run_session(tmp_path, "lc", batch=True)
+        first, got, cache = run_session(tmp_path, "lc")
         entries = sorted((cache / "lowered").glob("*.pkl"))
         assert entries  # one per (program, machine, partition)
         # A second session must load the lowering instead of
         # recompiling, and still produce identical results.
-        second = Session(scale=TINY, cache_dir=cache, batch=True)
+        second = Session(scale=TINY, cache_dir=cache)
         for path in cache.glob("*.pkl"):
             path.unlink()  # force re-simulation, keep lowerings
         want = second.run(sweep_for())
         assert want.results == got.results
 
     def test_corrupt_entry_recompiles(self, tmp_path):
-        _, got, cache = run_session(tmp_path, "lc", batch=True)
+        _, got, cache = run_session(tmp_path, "lc")
         for path in (cache / "lowered").glob("*.pkl"):
             path.write_bytes(b"not a pickle")
         for path in cache.glob("*.pkl"):
             path.unlink()
-        recovering = Session(scale=TINY, cache_dir=cache, batch=True)
+        recovering = Session(scale=TINY, cache_dir=cache)
         want = recovering.run(sweep_for())
         assert want.results == got.results
 
@@ -372,8 +275,8 @@ class TestWarmPath:
     """Threaded disk-cache reads on re-runs."""
 
     def test_warm_rerun_is_all_disk_hits(self, tmp_path):
-        _, got, cache = run_session(tmp_path, "warm", batch=True)
-        warm = Session(scale=TINY, cache_dir=cache, batch=True)
+        _, got, cache = run_session(tmp_path, "warm")
+        warm = Session(scale=TINY, cache_dir=cache)
         outcome = warm.run(sweep_for())
         assert outcome.results == got.results
         assert warm.stats["evaluated"] == 0
@@ -389,7 +292,7 @@ class TestWarmPath:
     md=st.sampled_from([0, 7, 60]),
 )
 def test_generated_kernel_lane_parity(family, seed, window, md):
-    """Batched vs scalar on arbitrary generated-grammar kernels."""
+    """Shim vs scalar on arbitrary generated-grammar kernels."""
     compiled = compiled_for(f"gen:{family}:{seed}", "dm", TINY)
     lanes = [
         BatchLane(

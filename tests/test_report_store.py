@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -275,6 +276,31 @@ class TestConcurrencyPragmas:
         writer_session.evaluate(Point(program="trfd", window=16))
         assert len(reader.rows()) == 2  # sees the new row, no lock error
         reader.close()
+
+    def test_concurrent_openers_of_a_new_store_all_succeed(self, tmp_path):
+        """Creating and stamping a new store is one transaction: no
+        opener sees a created-but-unversioned table as foreign."""
+        path = tmp_path / "fresh.sqlite"
+        barrier = threading.Barrier(8)
+        errors: list[BaseException] = []
+
+        def open_store() -> None:
+            try:
+                barrier.wait()
+                ResultStore(path).close()
+            except BaseException as error:  # noqa: BLE001 - collected
+                errors.append(error)
+                barrier.abort()  # release a peer still at the barrier
+
+        threads = [threading.Thread(target=open_store) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        with ResultStore(path) as store:
+            version = store._con.execute("PRAGMA user_version").fetchone()
+            assert version[0] == SCHEMA_VERSION
 
     def test_memory_store_skips_wal(self):
         store = ResultStore(":memory:")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -110,6 +111,25 @@ class TestHappyPath:
         job_id = client.submit_point(Point(program="flo52q", window=8))
         client.wait(job_id, timeout=120)
         assert any(job["id"] == job_id for job in client.jobs())
+
+    def test_keep_alive_requests_are_not_delayed(self, service):
+        """Requests after the first on one kept-alive connection must
+        not wait on the client's delayed ACK (Nagle: ~40 ms each)."""
+        _, _, server = service
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        elapsed = []
+        try:
+            for _ in range(5):
+                started = time.perf_counter()
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
     def test_results_endpoint_serves_store_rows(self, service):
         client, _, _ = service

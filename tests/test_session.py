@@ -4,6 +4,8 @@ and the no-shared-state regression for latency models."""
 from __future__ import annotations
 
 import dataclasses
+import pickle
+import threading
 from dataclasses import replace
 
 import pytest
@@ -96,6 +98,46 @@ class TestDiskCache:
         assert again.evaluate(point).cycles == stock_cycles
         assert again.stats["disk_hits"] == 1
 
+    def test_threads_writing_one_cache_dir(self, tmp_path):
+        """Two sessions in one process (``repro serve``'s workers) write
+        the same entries concurrently: no temp-file collisions, and
+        every entry left behind is whole."""
+        points = [
+            Point(program="trfd", machine="dm", window=window,
+                  memory_differential=60)
+            for window in (4, 8, 16, 32)
+        ]
+        barrier = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def writer() -> None:
+            try:
+                session = Session(scale=SCALE, cache_dir=tmp_path)
+                written = [
+                    (session._canonical(p), session.evaluate(p))
+                    for p in points
+                ]
+                barrier.wait()
+                for _ in range(150):
+                    for canonical, result in written:
+                        session._disk_store(canonical, result)
+            except BaseException as error:  # noqa: BLE001 - collected
+                errors.append(error)
+                barrier.abort()  # release a peer still at the barrier
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        entries = sorted(tmp_path.rglob("*.pkl"))
+        assert len(list(tmp_path.glob("*.pkl"))) == len(points)
+        for entry in entries:
+            with entry.open("rb") as handle:
+                pickle.load(handle)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_irrelevant_fields_fold_into_one_entry(self, tmp_path):
         session = Session(scale=SCALE, cache_dir=tmp_path)
         session.evaluate(Point(program="trfd", machine="serial", window=8))
@@ -110,6 +152,15 @@ class TestDiskCache:
         run_cycles = session.run(sweep).cycles()[0]
         assert session.dm_cycles("trfd", None, 60) == run_cycles
         assert session.stats["evaluated"] == 1
+
+
+class TestDeprecatedBatchKnob:
+    def test_batch_knob_warns_and_changes_nothing(self, point):
+        with pytest.warns(DeprecationWarning, match="batch"):
+            batched = Session(scale=SCALE, batch=True)
+        with pytest.warns(DeprecationWarning, match="batch"):
+            per_point = Session(scale=SCALE, batch=False)
+        assert batched.evaluate(point) == per_point.evaluate(point)
 
 
 class TestParallelExecutor:

@@ -5,9 +5,11 @@ Covers the observability PR's guarantees end to end:
 * every result carries a :class:`~repro.obs.telemetry.RunTelemetry`
   with a known strategy label and exact counter attribution;
 * per-run counters sum to the global ``PERF_COUNTERS`` delta for the
-  scalar, forced-event and batched engines alike;
+  cycle-loop and forced-event engines alike;
 * a ``jobs=4`` pool sweep reports the same aggregated telemetry as the
-  ``jobs=1`` run (pool workers ship counters home on their results);
+  ``jobs=1`` run (pool workers ship counters home on their results),
+  and a sweep's rollup is the same at ``jobs=1`` and ``jobs=2``, cold
+  and warm, on every field but ``wall_seconds``;
 * persisted bytes stay telemetry-free while the store's telemetry
   column round-trips the deterministic slice;
 * the span tracer emits schema-valid JSONL with paired spans;
@@ -21,7 +23,7 @@ import json
 
 import pytest
 
-from repro.api import Point, Session, Sweep
+from repro.api import Point, Session, Sweep, speedup_sweep
 from repro.machines import engine
 from repro.obs import (
     COUNTER_KEYS,
@@ -36,7 +38,7 @@ SCALE = 1_500
 #: Every strategy label an engine run may report.
 KNOWN_STRATEGIES = {
     "uniform-table", "stateless-table", "speculative", "chunked",
-    "events-table", "events-chunked", "probing", "batch", "objects",
+    "events-table", "events-chunked", "probing", "objects",
     "serial", "cached",
 }
 
@@ -94,21 +96,20 @@ class TestRunTelemetry:
 
     def test_row_view_is_strategy_plus_nonzero_counters(self):
         telemetry = RunTelemetry(
-            strategy="batch",
-            counters={**zero_counters(), "batch_lanes": 3},
+            strategy="uniform-table",
+            counters={**zero_counters(), "steady_skips": 3},
         )
         assert telemetry.row_view() == {
-            "strategy": "batch", "counters": {"batch_lanes": 3},
+            "strategy": "uniform-table", "counters": {"steady_skips": 3},
         }
 
 
 class TestEngineParity:
-    """Scalar, forced-event and batched engines agree on everything."""
+    """Cycle-loop and forced-event engines agree on everything."""
 
     @pytest.fixture(autouse=True)
     def _no_env_engine(self, monkeypatch):
         monkeypatch.delenv("REPRO_EVENT_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_ENGINE", raising=False)
 
     def _run(self, **session_kwargs):
         before = engine.counters_snapshot()
@@ -118,16 +119,12 @@ class TestEngineParity:
         return session, outcome, delta
 
     def test_results_and_counter_attribution_per_engine(self):
-        scalar, scalar_out, scalar_delta = self._run(batch=False)
-        events, events_out, events_delta = self._run(
-            batch=False, engine="events"
-        )
-        batched, batched_out, batched_delta = self._run(batch=True)
+        scalar, scalar_out, scalar_delta = self._run()
+        events, events_out, events_delta = self._run(engine="events")
 
-        # Bit-identical simulation outputs across all three engines.
+        # Bit-identical simulation outputs across both engines.
         assert [r.cycles for r in scalar_out.results] == \
-            [r.cycles for r in events_out.results] == \
-            [r.cycles for r in batched_out.results]
+            [r.cycles for r in events_out.results]
 
         # Strategy labels match the engine that ran.
         assert all(
@@ -138,15 +135,12 @@ class TestEngineParity:
             s.startswith("events") or s == "probing"
             for s in events.telemetry()["strategies"]
         )
-        assert "batch" in batched.telemetry()["strategies"]
-        assert batched_delta.get("batch_lanes", 0) >= 2
         assert events_delta.get("event_runs", 0) >= 1
 
         # Per-run telemetry sums to the global delta, per engine.
         for session, delta in (
             (scalar, scalar_delta),
             (events, events_delta),
-            (batched, batched_delta),
         ):
             summed = {
                 k: v for k, v in session.telemetry()["counters"].items()
@@ -181,6 +175,40 @@ class TestPoolParity:
             pooled_out.telemetry["counters"]
         assert serial_out.telemetry["strategies"] == \
             pooled_out.telemetry["strategies"]
+
+
+class TestSweepTelemetryAcrossJobs:
+    """A sweep's rollup does not depend on the execution path."""
+
+    @staticmethod
+    def _rollup(outcome) -> dict:
+        return {
+            key: value for key, value in outcome.telemetry.items()
+            if key != "wall_seconds"
+        }
+
+    def test_cold_rollup_equal_at_one_and_two_jobs(self):
+        sweep = speedup_sweep("mdg")
+        serial = Session(scale=SCALE).run(sweep, jobs=1)
+        pooled = Session(scale=SCALE).run(sweep, jobs=2)
+        assert serial.results == pooled.results
+        assert self._rollup(pooled) == self._rollup(serial)
+        # Repeated serial points are the only memory-tier reads.
+        assert serial.telemetry["memory_hits"] == (
+            len(serial) - serial.telemetry["evaluated"]
+        )
+
+    def test_warm_rollup_equal_at_one_and_two_jobs(self, tmp_path):
+        sweep = speedup_sweep("mdg")
+        Session(scale=SCALE, cache_dir=tmp_path).run(sweep)
+        rollups = []
+        for jobs in (1, 2):
+            session = Session(scale=SCALE, cache_dir=tmp_path)
+            rollups.append(self._rollup(session.run(sweep, jobs=jobs)))
+            assert session.stats["disk_misses"] == 0
+        assert rollups[0] == rollups[1]
+        assert rollups[0]["evaluated"] == 0
+        assert rollups[0]["disk_hits"] > 0
 
 
 class TestPersistence:

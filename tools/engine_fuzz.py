@@ -1,14 +1,11 @@
-"""Differential fuzzer for the four scheduling engines.
+"""Differential fuzzer for the three scheduling engines.
 
 Crosses a corpus of generated kernels (``gen:<family>:<seed>`` names)
 plus two paper kernels with both machines (DM, SWSM) and every memory
 model kind in the hierarchy scenario space, then runs each case
-through all four engines — the event-heap scheduler (forced via
-``REPRO_EVENT_ENGINE=events``), the SoA cycle loops (``soa``), the
-legacy object engine, and the batched sweep engine
-(``repro.machines.batch``, run as a two-lane batch at two memory
-differentials and compared lane by lane) — and diffs the results
-field by field. Any divergence is a bug in one of the engines; the
+through all three engines — the event-heap scheduler (forced via
+``REPRO_EVENT_ENGINE=events``), the SoA cycle loops (``soa``) and the
+legacy object engine — and diffs the results field by field. Any divergence is a bug in one of the engines; the
 tool prints the first mismatching field per case and exits non-zero.
 
 Usage (CI runs it at tiny scale, mirroring tools/service_smoke.py):
@@ -34,7 +31,6 @@ from repro.config import UnitConfig  # noqa: E402
 from repro.experiments import active_preset  # noqa: E402
 from repro.kernels import build_kernel  # noqa: E402
 from repro.machines import simulate, simulate_objects  # noqa: E402
-from repro.machines.batch import BatchLane, simulate_batch  # noqa: E402
 from repro.partition import Unit  # noqa: E402
 from repro.workloads import FAMILIES  # noqa: E402
 
@@ -103,26 +99,6 @@ def run_case(program_name: str, scale: int, md: int,
                         f"{case}: events vs {engine_name} differ on "
                         f"{', '.join(fields)}"
                     )
-            # Batch column: a two-lane batch at two differentials,
-            # each lane held to the matching scalar reference (lane 1
-            # gets its own soa run at the shifted differential).
-            alt = md + 17
-            batch = simulate_batch(
-                compiled,
-                [
-                    BatchLane(unit_configs=configs, memory=spec.build(md)),
-                    BatchLane(unit_configs=configs, memory=spec.build(alt)),
-                ],
-                collect_issue_times=True,
-            )
-            soa_alt = _forced("soa", compiled, configs, spec.build(alt))
-            for lane_index, reference in ((0, events), (1, soa_alt)):
-                fields = diff_fields(reference, batch[lane_index])
-                if fields:
-                    failures.append(
-                        f"{case}: batch lane {lane_index} differs from "
-                        f"its scalar reference on {', '.join(fields)}"
-                    )
             if verbose and not failures:
                 print(f"  ok {case}: {events.cycles} cycles")
     return failures
@@ -159,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}")
         return 1
     print(
-        f"engine fuzz: OK — {cases} cases (x4 engines) agree on every "
+        f"engine fuzz: OK — {cases} cases (x3 engines) agree on every "
         f"field (scale={preset.name}, md={args.md})"
     )
     return 0
